@@ -74,12 +74,13 @@ from repro.core.config_presets import (
     baseline_config,
     with_cache_sizes,
 )
-from repro.core.runner import run_benchmark, variant_name
+from repro.core.runner import variant_name
 from repro.core.sweep import run_sweep, sweep_point
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
+from repro.sim.parallel import effective_cpus
 from repro.sim.replay import CachedApplication, replay_application
 
 POOL_JOBS = 4
@@ -140,8 +141,12 @@ def sweep_points(quick: bool = False):
 
 
 def run_serial(points):
+    """The "before" arm: every point's application built and simulated
+    live, with no trace cache or replay."""
     return {
-        p.label: run_benchmark(p.abbr, cdp=p.cdp, size=p.size, config=p.config)
+        p.label: GPUSimulator(p.config).run_application(
+            build_application(p.abbr, cdp=p.cdp, size=p.size)
+        )
         for p in points
     }
 
@@ -269,10 +274,7 @@ def main_run(quick: bool = False) -> dict:
     # transport microbench (per-frame round-trip latency, the cost one
     # barrier exchange pays) runs everywhere: it measures latency, not
     # parallelism.
-    try:
-        effective_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        effective_cpus = os.cpu_count() or 1
+    cpus = effective_cpus()
     gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
     par_config = GPUConfig(
         event_core=True, parallel_shards=PARALLEL_WORKERS,
@@ -286,7 +288,7 @@ def main_run(quick: bool = False) -> dict:
     par_section = {
         "workers": PARALLEL_WORKERS,
         "window": window,
-        "effective_cpus": effective_cpus,
+        "effective_cpus": cpus,
         "gil_enabled": gil_enabled,
         # Pipes stay the default channel: frames are a few hundred
         # bytes and the window loop blocks on the exchange either way,
@@ -294,7 +296,7 @@ def main_run(quick: bool = False) -> dict:
         "transports": {**transports, "default": "pipe"},
     }
     par_identical = True  # vacuous when the simulation arms are skipped
-    if effective_cpus == 1:
+    if cpus == 1:
         par_section["skipped"] = (
             "effective_cpus == 1: shard workers would serialize, "
             "measuring barrier/IPC overhead only"
@@ -571,10 +573,7 @@ def main_service(quick: bool = False) -> dict:
     size = DatasetSize.SMALL if quick else DatasetSize.LARGE
     payload = {"benchmark": RUN_BENCHMARK, "size": size.value}
     hit_rounds = 20 if quick else 100
-    try:
-        effective_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        effective_cpus = os.cpu_count() or 1
+    cpus = effective_cpus()
 
     with tempfile.TemporaryDirectory() as tmp:
         server = make_server(
@@ -620,7 +619,7 @@ def main_service(quick: bool = False) -> dict:
         "benchmark": RUN_BENCHMARK,
         "size": size.name.lower(),
         "quick": quick,
-        "effective_cpus": effective_cpus,
+        "effective_cpus": cpus,
         "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
         "cold_request_s": round(cold_s, 3),
         "cache_hit_s": round(hit_s, 4),
@@ -662,10 +661,7 @@ def main_dist(quick: bool = False) -> dict:
     from repro.dist import LocalProcessLauncher, run_dsweep
 
     points = sweep_points(quick)
-    try:
-        effective_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        effective_cpus = os.cpu_count() or 1
+    cpus = effective_cpus()
 
     with LocalProcessLauncher(workers=DIST_WORKERS) as launcher:
         spawn_start = time.perf_counter()
@@ -683,7 +679,7 @@ def main_dist(quick: bool = False) -> dict:
         "points": len(points),
         "quick": quick,
         "workers": DIST_WORKERS,
-        "effective_cpus": effective_cpus,
+        "effective_cpus": cpus,
         "spawn_s": round(spawn_s, 3),
         "serial_s": round(serial_s, 3),
         "dist_s": round(dist_s, 3),
@@ -692,9 +688,9 @@ def main_dist(quick: bool = False) -> dict:
         "retries": coord["retries"],
         "redispatches": coord["redispatches"],
         "identical_stats": identical,
-        "speedup_claim_armed": effective_cpus >= 2,
+        "speedup_claim_armed": cpus >= 2,
     }
-    if effective_cpus < 2:
+    if cpus < 2:
         report["speedup_note"] = (
             "1-CPU host: both workers share one core, so dist_s measures "
             "dispatch overhead — the speedup claim is not armed"

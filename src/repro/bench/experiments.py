@@ -122,13 +122,12 @@ def fig2_cpu_gpu(
     config = config or baseline_config()
     rows = []
     for abbr in ("SW", "NW", "STAR"):
-        workload = dataset_for(abbr, size)
-        cpu = cpu_cycles(abbr, workload)
+        cpu = cpu_cycles(abbr, dataset_for(abbr, size))
         gpu = run_benchmark(
-            abbr, cdp=False, size=size, config=config, workload=workload
+            abbr, cdp=False, size=size, config=config
         ).device_time()
         gpu_cdp = run_benchmark(
-            abbr, cdp=True, size=size, config=config, workload=workload
+            abbr, cdp=True, size=size, config=config
         ).device_time()
         rows.append({
             "benchmark": abbr,

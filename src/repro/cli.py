@@ -239,13 +239,14 @@ def cmd_run(args) -> int:
 def _run_estimate(args) -> int:
     """``repro run --estimate``: sampled estimates with error bounds."""
     from repro.core.report import format_estimate, format_sample_note
-    from repro.core.runner import estimate_benchmark, variant_name
+    from repro.core.runner import variant_name
+    from repro.core.sweep import run_point, sweep_point
 
     config = _estimate_config(args, _config(args))
-    stats = estimate_benchmark(
-        args.benchmark, cdp=args.cdp, size=args.size, config=config
-    )
     name = variant_name(args.benchmark, args.cdp)
+    stats = run_point(sweep_point(
+        name, args.benchmark, config, cdp=args.cdp, size=args.size
+    ))
     mode = "estimated" if stats.estimated else "estimated (exact fallback)"
     print(f"{name} ({mode}): {stats.instructions} instructions, "
           f"~{stats.cycles} kernel cycles (IPC {stats.ipc:.3f})")
@@ -475,10 +476,8 @@ def cmd_warm(args) -> int:
         hits, builds = store.hits, store.builds
         point = sweep_point(name, abbr, config, cdp=cdp,
                             size=args.size)
-        entry = cache.get(point)
-        if entry is None:
-            state = "not replayable, skipped"
-        elif store.hits > hits:
+        cache.get(point)
+        if store.hits > hits:
             state = "already stored"
         elif store.builds > builds:
             state = "materialized"

@@ -14,7 +14,6 @@ The suite object wraps the registry for bulk runs:
 """
 
 from repro.core.runner import (
-    estimate_benchmark,
     run_benchmark,
     run_suite,
     variant_name,
@@ -59,7 +58,6 @@ from repro.core.analysis import (
 from repro.sim.config import a100_config, rtx3070_baseline, rtx3090_config
 
 __all__ = [
-    "estimate_benchmark",
     "run_benchmark",
     "run_suite",
     "variant_name",

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+from repro.core.sweep import run_point, run_sweep, suite_points, sweep_point
 from repro.data.datasets import DatasetSize
-from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
-from repro.sim.gpu import GPUSimulator
 from repro.sim.stats import RunStats
 
 
@@ -19,45 +18,19 @@ def run_benchmark(
     cdp: bool = False,
     size: DatasetSize = DatasetSize.SMALL,
     config: GPUConfig | None = None,
-    workload=None,
     **options,
 ) -> RunStats:
-    """Run one benchmark to completion and return its statistics.
+    """Run one benchmark and return its statistics.
 
-    A fresh simulator is built per call, so results are independent
-    and deterministic for fixed inputs.
+    The point runs like every other point (:func:`repro.core.sweep.run_point`):
+    its traces are materialized (or loaded from ``REPRO_TRACE_STORE``) and
+    replayed on a fresh simulator.  A config with ``sample_fraction > 0``
+    returns a sampled :class:`~repro.sim.sampled.EstimatedRunStats`.
     """
-    app = build_application(abbr, cdp=cdp, size=size, workload=workload, **options)
-    simulator = GPUSimulator(config or GPUConfig())
-    return simulator.run_application(app)
-
-
-def estimate_benchmark(
-    abbr: str,
-    cdp: bool = False,
-    size: DatasetSize = DatasetSize.SMALL,
-    config: GPUConfig | None = None,
-    workload=None,
-    **options,
-):
-    """Estimate one benchmark's statistics from a warp sample.
-
-    Returns an :class:`~repro.sim.sampled.EstimatedRunStats`: the same
-    fields as :func:`run_benchmark`'s exact :class:`RunStats`, plus
-    per-metric confidence intervals (``stats.interval("cycles")``) and
-    the sampling metadata (``stats.sample``).  When ``config`` leaves
-    ``sample_fraction`` at ``0.0`` (the exact-mode default) a 10%
-    sample is used; pass an explicit fraction to override.
-    """
-    from repro.sim.replay import CachedApplication
-    from repro.sim.sampled import estimate_application
-
-    config = config or GPUConfig()
-    if config.sample_fraction == 0.0:
-        config = config.with_(sample_fraction=0.1)
-    app = build_application(abbr, cdp=cdp, size=size, workload=workload,
-                            **options)
-    return estimate_application(CachedApplication(app), config)
+    return run_point(sweep_point(
+        variant_name(abbr, cdp), abbr, config or GPUConfig(),
+        cdp=cdp, size=size, **options,
+    ))
 
 
 def run_suite(
@@ -65,29 +38,14 @@ def run_suite(
     cdp_variants: bool = True,
     size: DatasetSize = DatasetSize.SMALL,
     config: GPUConfig | None = None,
-    jobs: int | None = None,
+    jobs: int | None = 0,
 ) -> dict[str, RunStats]:
     """Run the whole suite; keys are variant names (``NW``, ``NW-CDP``...).
 
-    ``jobs`` routes the runs through the sweep engine: ``0`` in-process
-    with trace reuse, ``N`` across N worker processes (see
-    :func:`repro.core.sweep.run_sweep`).  ``None`` (the default) keeps
-    the direct serial path; all three produce identical results.
+    ``jobs`` is forwarded to :func:`repro.core.sweep.run_sweep`: ``0``
+    (the default) runs in-process, ``N`` across N worker processes,
+    ``None`` one worker per CPU; all produce identical results.
     """
-    if jobs is not None:
-        from repro.core.sweep import run_sweep, suite_points
-
-        return run_sweep(
-            suite_points(benchmarks, cdp_variants, size, config),
-            jobs=jobs,
-        )
-    results: dict[str, RunStats] = {}
-    for abbr in benchmarks or benchmark_names():
-        results[variant_name(abbr, False)] = run_benchmark(
-            abbr, cdp=False, size=size, config=config
-        )
-        if cdp_variants:
-            results[variant_name(abbr, True)] = run_benchmark(
-                abbr, cdp=True, size=size, config=config
-            )
-    return results
+    return run_sweep(
+        suite_points(benchmarks, cdp_variants, size, config), jobs=jobs
+    )

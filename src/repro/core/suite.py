@@ -85,13 +85,13 @@ class BenchmarkSuite:
         self,
         benchmarks: list[str] | None = None,
         cdp_variants: bool = True,
-        jobs: int | None = None,
+        jobs: int | None = 0,
     ) -> dict[str, RunStats]:
         """Run every benchmark (and CDP variant); keys are variant names.
 
         ``jobs`` is forwarded to :func:`repro.core.runner.run_suite`:
-        ``0`` reuses traces in-process, ``N`` fans out over worker
-        processes, ``None`` keeps the direct serial path.
+        ``0`` runs in-process, ``N`` fans out over worker processes,
+        ``None`` uses one worker per CPU.
         """
         return run_suite(
             benchmarks=benchmarks,

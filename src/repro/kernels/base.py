@@ -88,18 +88,13 @@ class GenomicsApplication(Application):
 
     Subclasses set ``abbr`` and implement :meth:`host_program` (plus a
     CDP variant when ``cdp=True``) and :meth:`run_functional`, which
-    executes the real algorithm and returns its result.
+    executes the real algorithm and returns its result.  Warp traces
+    must be a deterministic function of (workload, launch geometry,
+    args): every run materializes them once and replays them
+    (``repro.core.sweep.run_point``).
     """
 
     abbr: str = ""
-
-    #: The sweep-engine contract (``repro.core.sweep``): warp traces are
-    #: a deterministic function of (workload, launch geometry, args), so
-    #: the engine may materialize them once and replay them across the
-    #: timing configs of a sweep.  All ten benchmarks satisfy this; an
-    #: application whose traces depend on simulated timing must set
-    #: ``replayable = False`` and will be run fresh at every point.
-    replayable: bool = True
 
     def __init__(self, workload, cdp: bool = False):
         self.workload = workload

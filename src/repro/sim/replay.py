@@ -423,4 +423,7 @@ def replay_application(entry: CachedApplication, simulator) -> RunStats:
     """Run a cached application and credit its pre-counted totals."""
     stats = simulator.run_application(entry)
     entry.total_counts.merge_into(stats)
+    if stats.telemetry is not None:
+        # The summary's metadata snapshot was taken before the credit.
+        stats.telemetry["meta"]["instructions"] = stats.instructions
     return stats

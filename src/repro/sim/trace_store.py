@@ -575,10 +575,9 @@ class TraceStore:
     def get_or_build(self, key, build):
         """The entry for ``key``, building (exactly once) on a cold miss.
 
-        ``build`` must return a materialized :class:`CachedApplication`
-        (stored and returned) or None (nothing stored — the application
-        opted out of replay).  Concurrent callers with the same key
-        serialize on a lockfile: one builds, the rest wait for the
+        ``build`` must return a materialized :class:`CachedApplication`,
+        which is stored and returned.  Concurrent callers with the same
+        key serialize on a lockfile: one builds, the rest wait for the
         published file.
         """
         path = self.path_for(key)
@@ -608,9 +607,8 @@ class TraceStore:
                     return stored
                 entry = build()
                 self.builds += 1
-                if entry is not None:
-                    self._save_path(path, entry)
-                    self._log_build(path)
+                self._save_path(path, entry)
+                self._log_build(path)
                 return entry
             finally:
                 try:

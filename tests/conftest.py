@@ -2,7 +2,29 @@
 
 import pytest
 
+from repro.kernels import build_application
 from repro.sim.config import GPUConfig
+from repro.sim.gpu import GPUSimulator
+
+
+def live_stats(point):
+    """Simulate a sweep point's freshly built application live.
+
+    No trace cache, no replay, no store: the generator-driven reference
+    that every replaying entry point (``run_point``, ``run_benchmark``,
+    sweeps) must match bit for bit.
+    """
+    app = build_application(
+        point.abbr, cdp=point.cdp, size=point.size, **dict(point.options)
+    )
+    return GPUSimulator(point.config).run_application(app)
+
+
+@pytest.fixture(scope="session")
+def live():
+    """:func:`live_stats` as a fixture (test modules cannot import
+    ``conftest`` portably)."""
+    return live_stats
 
 
 @pytest.fixture(autouse=True)

@@ -50,7 +50,5 @@ class TestCpuCyclesDispatch:
 
         workload = dataset_for("SW", DatasetSize.SMALL)
         cpu = cpu_cycles("SW", workload)
-        gpu = run_benchmark(
-            "SW", config=baseline_config(), workload=workload
-        ).device_time()
+        gpu = run_benchmark("SW", config=baseline_config()).device_time()
         assert 3 < cpu / gpu < 30

@@ -39,11 +39,8 @@ def points(config):
 
 
 @pytest.fixture(scope="module")
-def serial(points):
-    return {
-        p.label: run_benchmark(p.abbr, cdp=p.cdp, size=p.size, config=p.config)
-        for p in points
-    }
+def serial(points, live):
+    return {p.label: live(p) for p in points}
 
 
 class TestDeterminism:
@@ -78,6 +75,26 @@ class TestDeterminism:
         point = points[0]
         assert run_point(point) == serial[point.label]
 
+    def test_run_benchmark_matches_live(self, config, live):
+        point = sweep_point("NW", "NW", config, use_shared=False)
+        assert run_benchmark("NW", config=config, use_shared=False) == live(
+            point
+        )
+
+    def test_estimate_sweep_reuses_caller_cache(self, config):
+        """An empty caller-supplied cache is still *the* cache: an
+        estimate-only sweep fills it once and hits it thereafter."""
+        sampled = config.with_(sample_fraction=0.1)
+        pts = [
+            sweep_point(f"NW|{seed}", "NW", sampled.with_(sample_seed=seed))
+            for seed in range(3)
+        ]
+        cache = TraceCache()
+        run_sweep(pts, jobs=0, cache=cache)
+        assert len(cache) == 1
+        assert cache.misses == 1
+        assert cache.hits == len(pts) - 1
+
 
 class TestCacheKeying:
     def test_timing_knobs_share_traces(self, config):
@@ -103,18 +120,6 @@ class TestCacheKeying:
         assert app_key(base) != app_key(
             sweep_point("e", "NW", config, use_shared=False)
         )
-
-    def test_non_replayable_app_runs_fresh(self, config, points, serial,
-                                           monkeypatch):
-        from repro.kernels import build_application
-
-        app_cls = type(build_application("NW"))
-        monkeypatch.setattr(app_cls, "replayable", False)
-        cache = TraceCache()
-        nw_points = [p for p in points if p.abbr == "NW"]
-        results = run_sweep(nw_points, jobs=0, cache=cache)
-        assert results == {p.label: serial[p.label] for p in nw_points}
-        assert len(cache) == 0
 
     def test_invalidate(self, config):
         cache = TraceCache()
@@ -154,12 +159,14 @@ class TestValidation:
 
 
 class TestSuiteIntegration:
-    def test_run_suite_jobs_matches_serial(self, config):
+    def test_run_suite_jobs_matches_serial(self, config, live):
         benchmarks = ["NW", "STAR"]
-        plain = run_suite(benchmarks, size=DatasetSize.SMALL, config=config)
-        cached = run_suite(
-            benchmarks, size=DatasetSize.SMALL, config=config, jobs=0
-        )
+        plain = {
+            p.label: live(p)
+            for p in suite_points(benchmarks, size=DatasetSize.SMALL,
+                                  config=config)
+        }
+        cached = run_suite(benchmarks, size=DatasetSize.SMALL, config=config)
         pooled = run_suite(
             benchmarks, size=DatasetSize.SMALL, config=config, jobs=2
         )

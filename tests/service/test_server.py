@@ -373,3 +373,20 @@ class TestConcurrentClients:
         assert not errors
         assert outcomes == {name: name for name in benchmarks}
         assert client.metrics()["jobs_executed"] == len(benchmarks)
+
+
+class TestTraceStore:
+    def test_second_config_loads_traces_from_store(
+        self, client, tmp_path, monkeypatch
+    ):
+        """Executors get their traces through the trace cache, so a
+        cold request for an already-materialized application loads it
+        from the store instead of building it again."""
+        store = tmp_path / "store"
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(store))
+        for num_sms in (2, 4):
+            config = dict(TINY, num_sms=num_sms)
+            envelope = client.run("simulate", benchmark="STAR",
+                                  config=config, timeout=120)
+            assert envelope["job"]["cached"] is False
+        assert len((store / "builds.log").read_text().splitlines()) == 1

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core.runner import estimate_benchmark
+from repro.core.runner import run_benchmark
 from repro.core.sweep import (
     TraceCache,
     run_point,
@@ -198,14 +198,31 @@ def test_exact_and_estimated_points_share_traces():
     assert isinstance(stats, EstimatedRunStats)
 
 
+def test_estimate_after_store_hit_matches_storeless(tmp_path):
+    """A warm store hands exact points a StoredApplication, which has
+    no equivalence classes; a later estimate on the same cache must
+    still get a CachedApplication and the store-less answer."""
+    from repro.sim.trace_store import TraceStore
+
+    exact_point = sweep_point("NW", "NW", GPUConfig())
+    est_point = sweep_point("NW-est", "NW", est_config())
+    TraceCache(store=TraceStore(tmp_path)).get(exact_point)  # warm it
+    cache = TraceCache(store=TraceStore(tmp_path))
+    run_point(exact_point, cache)
+    assert cache.store_hits == 1
+    stats = run_point(est_point, cache)
+    expected = run_point(est_point, TraceCache())
+    assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
+
+
 def test_trace_signature_excludes_sample_knobs():
     assert trace_signature(GPUConfig()) == trace_signature(
         est_config(sample_seed=7, sample_min_per_class=4)
     )
 
 
-def test_estimate_benchmark_defaults_to_ten_percent():
-    stats = estimate_benchmark("NW")
+def test_run_benchmark_estimates_sampled_configs():
+    stats = run_benchmark("NW", config=est_config())
     assert isinstance(stats, EstimatedRunStats)
     assert stats.sample["requested_fraction"] == 0.1
 

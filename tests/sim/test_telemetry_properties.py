@@ -10,7 +10,7 @@ fractions partition the interval's stall cycles.
 
 import pytest
 
-from repro.core.runner import run_benchmark
+from repro.core.sweep import sweep_point
 from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
 from repro.sim.config import GPUConfig
@@ -34,11 +34,10 @@ CASES = [
 INTERVAL = 2_000
 
 
-def _run(abbr, cdp):
-    return run_benchmark(
-        abbr, cdp=cdp, size=DatasetSize.SMALL,
-        config=GPUConfig(telemetry_interval=INTERVAL),
-    )
+def _run(live, abbr, cdp, event_core=True):
+    """A live (generator-driven, not replayed) run with sampling on."""
+    config = GPUConfig(event_core=event_core, telemetry_interval=INTERVAL)
+    return live(sweep_point(abbr, abbr, config, cdp=cdp))
 
 
 def _assert_exact_decomposition(stats):
@@ -58,6 +57,7 @@ def _assert_exact_decomposition(stats):
 
     # Whole-run: the series sum back to the aggregate counters exactly.
     assert agg["instructions"] == stats.instructions
+    assert summary["meta"]["instructions"] == stats.instructions
     assert agg["occupancy"] == stats.warp_occupancy
     assert agg["stalls"] == {k: v for k, v in stats.stalls.items() if v}
     assert agg["l1_accesses"] == stats.l1.accesses
@@ -77,35 +77,33 @@ def _assert_exact_decomposition(stats):
 @pytest.mark.parametrize(
     "abbr,cdp", CASES, ids=[f"{a}{'-cdp' if c else ''}" for a, c in CASES]
 )
-def test_series_decompose_aggregates(abbr, cdp):
-    _assert_exact_decomposition(_run(abbr, cdp))
+def test_series_decompose_aggregates(live, abbr, cdp):
+    _assert_exact_decomposition(_run(live, abbr, cdp))
 
 
 @pytest.mark.parametrize(
     "abbr,cdp", CASES, ids=[f"{a}{'-cdp' if c else ''}" for a, c in CASES]
 )
-def test_reference_core_series_decompose_aggregates(abbr, cdp):
-    stats = run_benchmark(
-        abbr, cdp=cdp, size=DatasetSize.SMALL,
-        config=GPUConfig(event_core=False, telemetry_interval=INTERVAL),
-    )
-    _assert_exact_decomposition(stats)
+def test_reference_core_series_decompose_aggregates(live, abbr, cdp):
+    _assert_exact_decomposition(_run(live, abbr, cdp, event_core=False))
 
 
-def test_replayed_run_series_decompose_aggregates():
+def test_replayed_run_series_decompose_aggregates(live):
     """Replayed (precounted) warps must still sample time-resolved:
     the hooks sit outside the precount guards, so the invariant holds
-    for trace replay exactly as for a fresh simulation."""
+    for trace replay exactly as for a fresh simulation — and the
+    summary, metadata included, equals the live run's."""
     entry = CachedApplication(build_application("NW", size=DatasetSize.SMALL))
     config = GPUConfig(telemetry_interval=INTERVAL)
     # Materialize traces, then replay through a fresh simulator.
     replay_application(entry, GPUSimulator(config))
     stats = replay_application(entry, GPUSimulator(config))
     _assert_exact_decomposition(stats)
+    assert stats.telemetry == _run(live, "NW", False).telemetry
 
 
-def test_event_rows_cover_every_interval_with_work():
-    stats = _run("NW", False)
+def test_event_rows_cover_every_interval_with_work(live):
+    stats = _run(live, "NW", False)
     rows = stats.telemetry["rows"]
     assert rows, "a run must sample at least one interval"
     # Rows are time-ordered with consistent window bounds.

@@ -171,14 +171,6 @@ def test_get_or_build_builds_once_then_hits(tmp_path):
     assert _stats(first) == _stats(second)
 
 
-def test_get_or_build_passes_through_none(tmp_path):
-    store = TraceStore(tmp_path)
-    key = ("opted", "out")
-    assert store.get_or_build(key, lambda: None) is None
-    assert not store.path_for(key).exists()
-    assert not (tmp_path / "builds.log").exists()
-
-
 def test_stale_lock_is_broken(tmp_path, monkeypatch):
     import repro.sim.trace_store as ts
 
