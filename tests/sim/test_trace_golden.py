@@ -4,10 +4,12 @@ The trace fast paths — per-class template instantiation
 (:mod:`repro.isa.template`) and binary store round trips
 (:mod:`repro.sim.trace_store`) — are only allowed to change how fast a
 trace materializes, never a single instruction of it.  Every benchmark
-(plain and CDP, small dataset) is replayed three ways and the
-resulting :class:`RunStats` must match field for field:
+(plain and CDP, small dataset) is replayed three ways, and the
+resulting :class:`RunStats` must match a live run field for field:
 
-1. live: templates disabled, every warp through its generator;
+0. live: the freshly built application simulated directly, the SM
+   cores counting instructions inline (no trace cache, no replay);
+1. untemplated: templates disabled, every warp through its generator;
 2. templated: the default path, with ``REPRO_TRACE_VERIFY`` making the
    replay layer cross-check each instantiation against the generator
    (a dishonest ``trace_template`` raises instead of skewing results);
@@ -23,6 +25,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.sweep import sweep_point
 from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names, build_application
 from repro.sim.config import GPUConfig
@@ -39,47 +42,58 @@ def _replay(entry):
     )
 
 
-def _assert_all_paths_identical(abbr, cdp, size, monkeypatch):
+def _live(live, abbr, cdp=False, size=DatasetSize.SMALL, **options):
+    point = sweep_point(abbr, abbr, CONFIG, cdp=cdp, size=size, **options)
+    return dataclasses.asdict(live(point))
+
+
+def _assert_all_paths_identical(abbr, cdp, size, monkeypatch, live):
     app = build_application(abbr, cdp=cdp, size=size)
-    live = _replay(CachedApplication(app, template=False))
+    reference = _live(live, abbr, cdp, size)
+    assert _replay(CachedApplication(app, template=False)) == reference
 
     monkeypatch.setenv("REPRO_TRACE_VERIFY", "1")
     templated = CachedApplication(app)
-    assert _replay(templated) == live
+    assert _replay(templated) == reference
 
     stored = decode_bytes(encode_bytes(templated))
     assert stored.total_counts.instructions == \
         templated.total_counts.instructions
-    assert _replay(stored) == live
+    assert _replay(stored) == reference
 
 
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
 @pytest.mark.parametrize("abbr", benchmark_names())
-def test_small_suite_identical(abbr, cdp, monkeypatch):
-    _assert_all_paths_identical(abbr, cdp, DatasetSize.SMALL, monkeypatch)
+def test_small_suite_identical(abbr, cdp, monkeypatch, live):
+    _assert_all_paths_identical(
+        abbr, cdp, DatasetSize.SMALL, monkeypatch, live
+    )
 
 
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
 @pytest.mark.parametrize("abbr", ["PairHMM", "NvB"])
-def test_medium_heavyweights_identical(abbr, cdp, monkeypatch):
-    _assert_all_paths_identical(abbr, cdp, DatasetSize.MEDIUM, monkeypatch)
+def test_medium_heavyweights_identical(abbr, cdp, monkeypatch, live):
+    _assert_all_paths_identical(
+        abbr, cdp, DatasetSize.MEDIUM, monkeypatch, live
+    )
 
 
 @pytest.mark.parametrize(
     "abbr,options",
     [("PairHMM", {"use_shared": False}), ("NW", {"use_shared": False})],
 )
-def test_ablation_variants_identical(abbr, options, monkeypatch):
+def test_ablation_variants_identical(abbr, options, monkeypatch, live):
     """The Fig 7 no-shared ablations: PairHMM opts out of templating
     (mutable stream state), NW templates its strided global rows."""
     app = build_application(
         abbr, cdp=False, size=DatasetSize.SMALL, **options
     )
-    live = _replay(CachedApplication(app, template=False))
+    reference = _live(live, abbr, **options)
+    assert _replay(CachedApplication(app, template=False)) == reference
     monkeypatch.setenv("REPRO_TRACE_VERIFY", "1")
     templated = CachedApplication(app)
-    assert _replay(templated) == live
-    assert _replay(decode_bytes(encode_bytes(templated))) == live
+    assert _replay(templated) == reference
+    assert _replay(decode_bytes(encode_bytes(templated))) == reference
 
 
 def test_template_layer_actually_used():
