@@ -12,18 +12,14 @@ Three harnesses, each locking performance to a bit-identity check:
   replay the same materialized traces, so the measurement isolates the
   issue loop itself; trace generation time is reported separately.
   A ``parallel`` section compares the same run against the
-  window-barrier parallel core (``parallel_shards=4``) under *both*
-  shard backends — the in-process thread pool and the forked process
-  workers (``--backend processes``) — measured in the same invocation,
-  recording the host's effective CPU count and GIL state alongside;
-  a transport microbench (pipe vs shared-memory ring round-trips/s)
-  documents why pipes stay the default channel.  The bit-identity
-  claim is asserted wherever the section runs; the thread speedup
-  claim only arms on free-threaded interpreters, the process speedup
-  claim wherever >= 4 CPUs are available (the whole point of the fork
-  backend is that the GIL does not matter).  On a 1-CPU host the
-  simulation arms are skipped and record the reason instead of a
-  meaningless 0.73x slowdown.
+  window-barrier parallel core (``parallel_shards=4``) on the forked
+  process workers (``--backend processes``), measured in the same
+  invocation.  The bit-identity claim is asserted wherever the section
+  runs; the speedup claim arms wherever >= 4 CPUs are available (the
+  whole point of the fork backend is that the GIL does not matter).
+  On a 1-CPU host the simulation arm is skipped and records the reason
+  instead of a meaningless slowdown.  The report carries its host
+  context (effective CPUs, GIL state, Python, platform).
 - **trace** (``BENCH_trace.json``): trace materialization itself — the
   live generator (templates off) vs template instantiation vs a warm
   binary trace-store load, on the same application.  All three arms
@@ -63,6 +59,7 @@ import argparse
 import dataclasses
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -104,6 +101,16 @@ SAMPLE_FRACTION = 0.1
 #: The single-run benchmark target: the slowest benchmark at the
 #: largest dataset (PairHMM large dominates suite wall time).
 RUN_BENCHMARK = "PairHMM"
+
+
+def host_context() -> dict:
+    """What a wall-clock number depends on besides the code."""
+    return {
+        "effective_cpus": effective_cpus(),
+        "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 def timed(func, *args, **kwargs):
@@ -184,66 +191,15 @@ def main_sweep(quick: bool = False) -> dict:
 
 # -- single-run benchmark (PR 2) --------------------------------------------
 
-def bench_transport(kind: str, rounds: int = 2000, size: int = 256):
-    """Round-trips/s of one parent<->worker frame exchange.
-
-    A forked echo child answers ``rounds`` frames of ``size`` bytes
-    (the typical staged-window frame is a few hundred bytes).  This is
-    latency, not bandwidth — the window loop is an exchange per shard
-    per window, so the round-trip is what the barrier pays.
-    """
-    from repro.sim.parallel_proc import make_transport
-
-    transport = make_transport(kind, 1)
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            channel = transport.child_channel(0)
-            while True:
-                frame = channel.recv_bytes()
-                if frame == b"Q":
-                    break
-                channel.send_bytes(frame)
-            status = 0
-        except BaseException:  # noqa: BLE001 - child never unwinds
-            pass
-        finally:
-            os._exit(status)
-    channel = transport.parent_channels([lambda: True])[0]
-    payload = b"x" * size
-    start = time.perf_counter()
-    for _ in range(rounds):
-        channel.send_bytes(payload)
-        channel.recv_bytes()
-    elapsed = time.perf_counter() - start
-    channel.send_bytes(b"Q")
-    os.waitpid(pid, 0)
-    try:
-        channel.close()
-    except OSError:  # pragma: no cover - best-effort teardown
-        pass
-    transport.destroy()
-    return round(rounds / elapsed)
-
-
 def main_run(quick: bool = False) -> dict:
     """Event core vs reference core on one simulation of the slowest
     benchmark, same materialized traces, best-of-2 each.
 
     Also measures the telemetry hooks (PR 3): the telemetry-*off* run
-    is the headline ``event_core_s`` number, compared against the
-    previously recorded ``BENCH_run.json`` to bound the cost of the
-    dormant ``is not None`` hook checks (<2% contract); a telemetry-*on*
-    run reports the live sampling cost for reference.
+    is the headline ``event_core_s`` number; a telemetry-*on* run
+    reports the live sampling cost for reference.
     """
     size = DatasetSize.SMALL if quick else DatasetSize.LARGE
-    recorded = None
-    if RUN_RESULT_PATH.exists():
-        try:
-            recorded = json.loads(RUN_RESULT_PATH.read_text())
-        except (OSError, ValueError):
-            recorded = None
     gen_start = time.perf_counter()
     cached = CachedApplication(
         build_application(RUN_BENCHMARK, cdp=False, size=size)
@@ -262,65 +218,39 @@ def main_run(quick: bool = False) -> dict:
 
     # Parallel core (PR 6 + PR 9): same traces, same invocation as the
     # sequential arm above, SM array sharded over PARALLEL_WORKERS
-    # window-barrier workers — once per backend (threads: GIL-bound;
-    # processes: forked shard workers, repro.sim.parallel_proc).  The
-    # host fields record whether real parallelism was even possible
-    # (CPU affinity, GIL); the identity claim holds wherever the
-    # measurement runs.  On a 1-CPU host the simulation arms are
-    # skipped outright: shard workers would serialize on the single
-    # core, so the measurement records only barrier overhead (0.73x on
-    # a recorded 1-CPU thread run) — noise, not a property of the
-    # parallel core (see DESIGN.md "parallel core", host gating).  The
-    # transport microbench (per-frame round-trip latency, the cost one
-    # barrier exchange pays) runs everywhere: it measures latency, not
-    # parallelism.
-    cpus = effective_cpus()
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
+    # forked shard workers (repro.sim.parallel_proc).  The host context
+    # records whether real parallelism was even possible; the identity
+    # claim holds wherever the measurement runs.  On a 1-CPU host the
+    # arm is skipped outright: shard workers would serialize on the
+    # single core and measure only barrier overhead (see DESIGN.md
+    # "parallel core", host gating).
+    host = host_context()
     par_config = GPUConfig(
         event_core=True, parallel_shards=PARALLEL_WORKERS,
-        parallel_executor="threads",
+        parallel_executor="processes",
     )
-    window = GPUSimulator(par_config).memory.min_cross_sm_latency()
-    transports = {
-        kind: {"round_trips_per_s": bench_transport(kind)}
-        for kind in ("pipe", "ring")
-    }
     par_section = {
         "workers": PARALLEL_WORKERS,
-        "window": window,
-        "effective_cpus": cpus,
-        "gil_enabled": gil_enabled,
-        # Pipes stay the default channel: frames are a few hundred
-        # bytes and the window loop blocks on the exchange either way,
-        # so the ring's polling buys little and costs spin cycles.
-        "transports": {**transports, "default": "pipe"},
+        "window": GPUSimulator(par_config).memory.min_cross_sm_latency(),
     }
-    par_identical = True  # vacuous when the simulation arms are skipped
-    if cpus == 1:
+    par_identical = True  # vacuous when the simulation arm is skipped
+    if host["effective_cpus"] == 1:
         par_section["skipped"] = (
             "effective_cpus == 1: shard workers would serialize, "
             "measuring barrier/IPC overhead only"
         )
     else:
-        backends = {}
-        for backend in ("threads", "processes"):
-            config = par_config.with_(parallel_executor=backend)
-
-            def simulate_parallel(config=config):
-                return replay_application(cached, GPUSimulator(config))
-
-            par_stats, par_s = timed(simulate_parallel)
-            backend_identical = (
-                dataclasses.asdict(par_stats)
-                == dataclasses.asdict(fast_stats)
-            )
-            par_identical = par_identical and backend_identical
-            backends[backend] = {
-                "parallel_s": round(par_s, 3),
-                "speedup_vs_event_core": round(fast_s / par_s, 2),
-                "identical_stats": backend_identical,
-            }
-        par_section["backends"] = backends
+        par_stats, par_s = timed(
+            lambda: replay_application(cached, GPUSimulator(par_config))
+        )
+        par_identical = (
+            dataclasses.asdict(par_stats) == dataclasses.asdict(fast_stats)
+        )
+        par_section.update({
+            "processes_s": round(par_s, 3),
+            "speedup_vs_event_core": round(fast_s / par_s, 2),
+            "identical_stats": par_identical,
+        })
 
     identical = (
         dataclasses.asdict(fast_stats) == dataclasses.asdict(ref_stats)
@@ -343,28 +273,12 @@ def main_run(quick: bool = False) -> dict:
         "identical_stats": identical,
         "telemetry_neutral": tel_neutral,
         "parallel": par_section,
+        "host": host,
     }
-    # Telemetry-off overhead vs the last recorded run of the same
-    # workload: the dormant hooks' <2% budget, measured where the
-    # recorded baseline is comparable (same benchmark/size/mode).
-    if recorded is not None and all(
-        recorded.get(k) == report[k] for k in ("benchmark", "size", "quick")
-    ) and recorded.get("event_core_s"):
-        report["recorded_event_core_s"] = recorded["event_core_s"]
-        report["telemetry_off_overhead_vs_recorded"] = round(
-            fast_s / recorded["event_core_s"] - 1, 4
-        )
-        if recorded.get("trace_gen_s"):
-            # Trace generation now runs through the template layer;
-            # the recorded delta tracks what that layer saves here.
-            report["recorded_trace_gen_s"] = recorded["trace_gen_s"]
-            report["trace_gen_speedup_vs_recorded"] = round(
-                recorded["trace_gen_s"] / gen_s, 2
-            )
     print(json.dumps(report, indent=2))
     # Identity gates the write: a run where any arm diverged (or the
     # telemetry hooks perturbed timing) must fail loudly instead of
-    # silently becoming the recorded baseline the next run compares to.
+    # silently becoming the recorded baseline.
     assert identical, "event core diverged from the reference core"
     assert tel_neutral, "telemetry sampling changed simulation results"
     assert par_identical, (
@@ -713,23 +627,17 @@ def test_sweep_speedup_and_identity():
 
 def test_single_run_speedup_and_identity():
     """Event core must beat the reference by >= 2x with identical stats;
-    both parallel backends must match bit-for-bit.  The thread backend
-    must beat the sequential event core by >= 2x only on free-threaded
-    interpreters; the process backend must do so on any >= 4-CPU host —
-    forked shard workers are exactly how the GIL stops mattering."""
+    the process backend must match bit-for-bit, and beat the sequential
+    event core by >= 2x on any >= 4-CPU host — forked shard workers are
+    exactly how the GIL stops mattering."""
     report = main_run()
     assert report["identical_stats"]
     assert report["speedup"] >= 2.0
     par = report["parallel"]
-    if "skipped" not in par:  # 1-CPU hosts skip the simulation arms
-        backends = par["backends"]
-        assert all(row["identical_stats"] for row in backends.values())
-        if par["effective_cpus"] >= par["workers"]:
-            if not par["gil_enabled"]:
-                assert backends["threads"]["speedup_vs_event_core"] >= 2.0
-            assert backends["processes"]["speedup_vs_event_core"] >= 2.0, (
-                backends["processes"]
-            )
+    if "skipped" not in par:  # 1-CPU hosts skip the simulation arm
+        assert par["identical_stats"]
+        if report["host"]["effective_cpus"] >= par["workers"]:
+            assert par["speedup_vs_event_core"] >= 2.0, par
 
 
 def test_trace_speedup_and_identity():

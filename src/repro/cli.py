@@ -40,6 +40,11 @@ dataset ABBR
     Write a benchmark's synthetic input dataset to FASTA/FASTQ files.
 align QUERY TARGET
     Align two sequences from the command line.
+trace ABBR / replay FILE
+    Write a benchmark's whole application (every launch, CDP children
+    included) to a CRC-checked RTRX trace file, and re-simulate such a
+    file without the generator; after one ``replayed`` line, ``replay``
+    prints exactly what ``run`` prints for the same machine.
 serve
     Run the simulation service: typed simulate/sweep/profile/estimate
     HTTP endpoints over an async job queue with a content-addressed
@@ -62,6 +67,7 @@ from repro.core import (
 )
 from repro.data.datasets import DatasetSize
 from repro.kernels import benchmark_names
+from repro.sim.config import PARALLEL_EXECUTORS
 
 
 def _size(value: str) -> DatasetSize:
@@ -100,11 +106,10 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
              "from the sequential core)",
     )
     parser.add_argument(
-        "--backend", default=None,
-        choices=("auto", "threads", "processes", "inline"),
+        "--backend", default=None, choices=PARALLEL_EXECUTORS,
         help="shard execution backend (default: auto — forked worker "
-             "processes when eligible and >1 CPU, else threads/inline; "
-             "all backends are bit-identical)",
+             "processes when eligible and >1 CPU, else inline; "
+             "both backends are bit-identical)",
     )
 
 
@@ -175,6 +180,15 @@ def _config(args):
     return config
 
 
+def _known_benchmark(abbr: str) -> bool:
+    """True for a suite benchmark; otherwise say so on stderr."""
+    if abbr in benchmark_names():
+        return True
+    print(f"unknown benchmark {abbr!r}; "
+          f"choose from {benchmark_names()}", file=sys.stderr)
+    return False
+
+
 def cmd_list(args) -> int:
     suite = BenchmarkSuite(_config(args))
     rows = []
@@ -194,9 +208,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.benchmark not in benchmark_names():
-        print(f"unknown benchmark {args.benchmark!r}; "
-              f"choose from {benchmark_names()}", file=sys.stderr)
+    if not _known_benchmark(args.benchmark):
         return 2
     if args.estimate:
         # The estimator replays a miniature machine of its own: the
@@ -219,6 +231,12 @@ def cmd_run(args) -> int:
     suite = BenchmarkSuite(_config(args), size=args.size)
     stats = suite.run(args.benchmark, cdp=args.cdp)
     name = suite.variant_name(args.benchmark, args.cdp)
+    _print_characterization(name, stats, profile=args.profile)
+    return 0
+
+
+def _print_characterization(name: str, stats, profile: bool = False) -> None:
+    """The exact-run report ``repro run`` and ``repro replay`` share."""
     print(f"{name}: {stats.instructions} instructions, "
           f"{stats.cycles} kernel cycles (IPC {stats.ipc:.3f})")
     print(f"kernel launches: {stats.kernel_launches} host"
@@ -230,10 +248,9 @@ def cmd_run(args) -> int:
           f"DRAM util {stats.dram_utilization():.3f}")
     print("\nStall breakdown:")
     print(format_breakdown(stats.stall_breakdown()))
-    if args.profile:
+    if profile:
         print("\nPer-kernel profile:")
         print(format_kernel_profile(stats))
-    return 0
 
 
 def _run_estimate(args) -> int:
@@ -264,9 +281,7 @@ def cmd_profile(args) -> int:
     from repro.core.runner import run_benchmark, variant_name
     from repro.sim.telemetry import write_chrome_trace, write_jsonl
 
-    if args.benchmark not in benchmark_names():
-        print(f"unknown benchmark {args.benchmark!r}; "
-              f"choose from {benchmark_names()}", file=sys.stderr)
+    if not _known_benchmark(args.benchmark):
         return 2
     config = _config(args).with_(telemetry_interval=args.interval)
     stats = run_benchmark(
@@ -662,41 +677,38 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Capture a benchmark's first kernel launch to a trace file."""
+    """Materialize a whole application into an RTRX trace file."""
     from repro.kernels import build_application
-    from repro.sim.launch import HostLaunch as HostLaunchOp
-    from repro.sim.tracefile import capture_trace
+    from repro.sim.launch import HostLaunch
+    from repro.sim.replay import CachedApplication
+    from repro.sim.trace_store import encode_bytes
 
-    app = build_application(args.benchmark, size=args.size)
-    for op in app.host_program():
-        if isinstance(op, HostLaunchOp):
-            capture_trace(op.launch, args.out)
-            print(f"captured {op.launch.kernel.name} "
-                  f"({op.launch.num_ctas} CTAs) -> {args.out}")
-            return 0
-    print("application never launched a kernel", file=sys.stderr)
-    return 1
+    if not _known_benchmark(args.benchmark):
+        return 2
+    entry = CachedApplication(build_application(args.benchmark, size=args.size))
+    data = encode_bytes(entry)
+    Path(args.out).write_bytes(data)
+    launches = sum(isinstance(op, HostLaunch) for op in entry.ops)
+    print(f"captured {entry.name} ({launches} host launches, "
+          f"{entry.total_counts.instructions} instructions, "
+          f"{len(data)} bytes) -> {args.out}")
+    return 0
 
 
 def cmd_replay(args) -> int:
-    """Re-simulate a captured trace file."""
+    """Re-simulate an RTRX trace file written by ``repro trace``."""
     from repro.sim import GPUSimulator
-    from repro.sim.launch import Application as AppBase, HostLaunch as HL
-    from repro.sim.tracefile import load_trace
+    from repro.sim.replay import replay_application
+    from repro.sim.trace_store import decode_bytes
 
-    launch = load_trace(Path(args.trace))
-
-    class ReplayApp(AppBase):
-        name = f"replay:{launch.kernel.name}"
-
-        def host_program(self):
-            yield HL(launch)
-
-    stats = GPUSimulator(_config(args)).run_application(ReplayApp())
-    print(f"replayed {launch.kernel.name}: {stats.instructions} "
-          f"instructions, {stats.kernel_cycles} cycles "
-          f"(IPC {stats.ipc:.3f})")
-    print(format_breakdown(stats.stall_breakdown()))
+    try:
+        entry = decode_bytes(Path(args.trace).read_bytes())
+    except (OSError, ValueError) as exc:
+        print(f"cannot replay {args.trace}: {exc}", file=sys.stderr)
+        return 2
+    stats = replay_application(entry, GPUSimulator(_config(args)))
+    print(f"replayed {entry.name} from {args.trace}")
+    _print_characterization(entry.name, stats)
     return 0
 
 
@@ -942,13 +954,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_args(p_data)
     p_data.set_defaults(func=cmd_dataset)
 
-    p_trace = sub.add_parser("trace", help="capture a kernel trace file")
+    p_trace = sub.add_parser(
+        "trace", help="write a whole application's traces to an RTRX file"
+    )
     p_trace.add_argument("benchmark")
-    p_trace.add_argument("--out", default="kernel.trace")
+    p_trace.add_argument("--out", default="app.trace")
     _add_machine_args(p_trace)
     p_trace.set_defaults(func=cmd_trace)
 
-    p_replay = sub.add_parser("replay", help="re-simulate a trace file")
+    p_replay = sub.add_parser(
+        "replay", help="re-simulate an RTRX file written by 'trace'"
+    )
     p_replay.add_argument("trace")
     _add_machine_args(p_replay)
     p_replay.set_defaults(func=cmd_replay)

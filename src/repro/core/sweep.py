@@ -376,8 +376,9 @@ def run_sweep(
     ``jobs=N`` fans same-application groups out over ``N`` worker
     processes; ``jobs=None`` uses one worker per CPU.  Results are
     bit-identical across all three paths.  If a process pool cannot be
-    created (restricted environments), the sweep falls back to the
-    in-process path rather than failing.
+    created or fed (restricted environments), the sweep falls back to
+    the in-process path rather than failing; an error raised by a
+    point's own simulation in a worker propagates unchanged.
 
     ``store`` selects the persistent trace store (see
     :func:`_resolve_store`): the default ``"env"`` honours the
@@ -447,32 +448,42 @@ def run_sweep(
 
     store_root = str(resolved.root) if resolved is not None else None
     groups = _group_by_app(points)
+    pool = None
+    try:
+        # Submission forks the workers, so this is where a missing
+        # process pool (sandboxed /dev/shm, fork limits) shows up.
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        futures = [
+            (indices, pool.submit(
+                _run_group,
+                tuple(points[i] for i in indices),
+                store_root,
+            ))
+            for indices in groups
+        ]
+    except OSError:
+        # Degrade to the in-process cached path, same results.
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        return run_sweep(points, jobs=0, cache=cache, store=resolved)
     results: list[RunStats | None] = [None] * len(points)
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (indices, pool.submit(
-                    _run_group,
-                    tuple(points[i] for i in indices),
-                    store_root,
-                ))
-                for indices in groups
-            ]
-            for indices, future in futures:
-                group = future.result()
-                if len(group) != len(indices):  # pragma: no cover - guard
-                    raise SweepMergeError(
-                        missing=[
-                            f"{points[i].label} [{point_key(points[i])}]"
-                            for i in indices[len(group):]
-                        ]
-                    )
-                for i, stats in zip(indices, group):
-                    results[i] = stats
-    except (OSError, PermissionError):
-        # No process pool available (sandboxed /dev/shm, fork limits):
-        # degrade to the in-process cached path, same results.
-        return run_sweep(points, jobs=0, cache=cache, store=resolved)
+        for indices, future in futures:
+            # A point's own error (OSError included) propagates: it is
+            # a failed simulation, not a missing pool.
+            group = future.result()
+            if len(group) != len(indices):  # pragma: no cover - guard
+                raise SweepMergeError(
+                    missing=[
+                        f"{points[i].label} [{point_key(points[i])}]"
+                        for i in indices[len(group):]
+                    ]
+                )
+            for i, stats in zip(indices, group):
+                results[i] = stats
+    finally:
+        # After a failure, groups still queued are not worth running.
+        pool.shutdown(cancel_futures=True)
     # Merge integrity: the reassembled list must cover exactly the
     # input grid — a worker failure must fail loudly with the lost
     # point identities, never return a silently partial grid.

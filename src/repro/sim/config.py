@@ -94,6 +94,10 @@ class PCIConfig:
             raise ValueError("PCI bandwidth must be positive")
 
 
+#: Accepted ``GPUConfig.parallel_executor`` values.
+PARALLEL_EXECUTORS = ("auto", "processes", "inline")
+
+
 @dataclass(frozen=True)
 class GPUConfig:
     """Full device configuration (Table I bolded values by default)."""
@@ -172,12 +176,12 @@ class GPUConfig:
     #: Shard execution backend: ``auto`` prefers forked shard worker
     #: processes (real multi-core speedup under the GIL — see
     #: :mod:`repro.sim.parallel_proc`) when the application is
-    #: eligible and more than one CPU is available, degrading to
-    #: threads, then inline; ``processes`` / ``threads`` / ``inline``
-    #: force a backend (``processes`` still falls back to threads for
-    #: ineligible applications — CDP, observers attached, partial
-    #: dispatch).  All backends produce identical results; ``inline``
-    #: runs the shards sequentially (useful for debugging).
+    #: eligible and more than one CPU is available, else runs the
+    #: shards in-process; ``processes`` / ``inline`` force a backend
+    #: (``processes`` still falls back to ``inline`` for ineligible
+    #: applications — CDP, observers attached, partial dispatch).
+    #: Both backends produce identical results; ``inline`` runs the
+    #: shards one after another in the calling process.
     parallel_executor: str = "auto"
 
     #: Sampled-estimation mode (:mod:`repro.sim.sampled`).  ``0.0``
@@ -226,11 +230,10 @@ class GPUConfig:
             raise ValueError("parallel_shards must be >= 1")
         if self.window_cycles < 0:
             raise ValueError("window_cycles must be >= 0 (0 = auto)")
-        if self.parallel_executor not in (
-            "auto", "threads", "processes", "inline"
-        ):
+        if self.parallel_executor not in PARALLEL_EXECUTORS:
             raise ValueError(
-                f"unknown parallel executor {self.parallel_executor!r}"
+                f"unknown parallel executor {self.parallel_executor!r} "
+                f"(choose from {', '.join(PARALLEL_EXECUTORS)})"
             )
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in [0, 1]")

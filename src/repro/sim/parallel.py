@@ -35,9 +35,9 @@ Determinism/identity argument (locked by tests/sim/test_parallel_golden.py):
   possibly a freshly delivered cross-shard completion — and
   ``wake_accounting`` charges the whole span in one chunk, literally
   the ``add_stall`` the sequential jump would have made.
-- **Shards are internally sequential**, so thread scheduling cannot
-  reorder anything observable: threads ≡ inline ≡ sequential,
-  bit-for-bit.
+- **Shards are internally sequential**, so the order in which shards
+  run a window cannot reorder anything observable: in-process ≡
+  forked ≡ sequential, bit-for-bit.
 
 Per-grid fallback keeps the API total: CDP-capable applications
 (``may_device_launch``) and grids that cannot fully dispatch at submit
@@ -46,15 +46,15 @@ An opt-in relaxed mode (``GPUConfig.parallel_relaxed``) admits windows
 beyond the safe bound — fewer barriers, approximate results — and is
 excluded from the golden identity locks.
 
-Backends: the shard abstraction is executor-agnostic.  This module
-implements the in-process executors (``threads`` — real concurrency
-only on free-threaded builds — and ``inline``);
+Backends: this module's :class:`WindowBarrierDriver` runs every
+shard's window in-process, one after another (``inline``);
 :mod:`repro.sim.parallel_proc` adds the ``processes`` backend (forked
-shard workers exchanging staged interactions over a binary channel),
-which is what delivers real multi-core speedup under the GIL.
+shard workers exchanging staged interactions over pipes), which is
+what delivers real multi-core speedup under the GIL.
 :func:`install_parallel_driver` picks between them: ``auto`` prefers
 forked workers whenever the application is eligible and more than one
-CPU is available.
+CPU is available.  There is no thread backend: shards would serialize
+on the interpreter lock and lose to ``inline`` on every measured run.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from heapq import heappop, heappush, merge as _kway_merge
 from operator import attrgetter
 
@@ -90,7 +89,7 @@ def effective_cpus() -> int:
 def resolve_window(gpu) -> tuple[float, float, bool, bool]:
     """Resolve ``(window, safe_bound, exact, enabled)`` for ``gpu``.
 
-    Shared between the thread and process drivers so both reject unsafe
+    Shared between the in-process and forked drivers so both reject unsafe
     explicit windows with the same error and agree on exactness.
     """
     config = gpu.config
@@ -124,8 +123,8 @@ def install_parallel_driver(gpu, app):
     Resolves the ``parallel_executor`` policy: ``processes`` (and
     ``auto`` on multi-CPU hosts) first tries the forked shard backend,
     which requires a windowable application (see
-    ``parallel_proc.try_install_process_driver``); anything else — or
-    any ineligible application — gets the in-process
+    ``parallel_proc.try_install_process_driver``); ``inline`` — or any
+    ineligible application — gets the in-process
     :class:`WindowBarrierDriver`.  Returns the application to run
     (possibly wrapped so its host program is materialized exactly once).
     """
@@ -351,7 +350,7 @@ class WindowBarrierDriver:
     automatically when ``config.parallel_shards > 1``.
     """
 
-    def __init__(self, gpu: GPUSimulator, executor: str | None = None):
+    def __init__(self, gpu: GPUSimulator):
         config = gpu.config
         self.gpu = gpu
         self.num_shards = max(1, min(config.parallel_shards, len(gpu.sms)))
@@ -378,25 +377,6 @@ class WindowBarrierDriver:
                     sm._tel = shard.telemetry
             self.shards.append(shard)
 
-        mode = config.parallel_executor if executor is None else executor
-        if mode == "processes":
-            # The forked backend lives in parallel_proc and is selected
-            # by install_parallel_driver; a plain WindowBarrierDriver
-            # asked for "processes" (ineligible application, or direct
-            # construction) degrades to the thread pool — same results.
-            mode = "auto"
-        if mode == "auto":
-            cpus = effective_cpus()
-            mode = "threads" if cpus > 1 and self.num_shards > 1 else "inline"
-        self.executor_mode = mode
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=self.num_shards,
-                thread_name_prefix="repro-shard",
-            )
-            if mode == "threads"
-            else None
-        )
         #: which sink/horizon binding is live ("sequential" at
         #: construction: GPUSimulator wired the real sinks already)
         self._binding = "sequential"
@@ -484,7 +464,6 @@ class WindowBarrierDriver:
         gpu = self.gpu
         shards = self.shards
         window = self.window
-        pool = self._pool
         while grid.remaining_ctas:
             # Next window starts at the earliest queued decision —
             # jumping past empty stretches is safe because every
@@ -499,18 +478,8 @@ class WindowBarrierDriver:
                     f"(pending grids: {len(gpu._pending_grids)})"
                 )
             w_end = start + window
-            due = [
-                shard for shard in shards
-                if shard.heap and shard.heap[0][0] < w_end
-            ]
-            if pool is not None and len(due) > 1:
-                futures = [
-                    pool.submit(shard.run_window, w_end) for shard in due
-                ]
-                for future in futures:
-                    future.result()
-            else:
-                for shard in due:
+            for shard in shards:
+                if shard.heap and shard.heap[0][0] < w_end:
                     shard.run_window(w_end)
             self._drain()
             for shard in shards:
@@ -545,9 +514,6 @@ class WindowBarrierDriver:
             gpu.stats.merge(shard.stats)
             if shard.telemetry is not None:
                 gpu.telemetry.absorb(shard.telemetry)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
 
 
 __all__ = [

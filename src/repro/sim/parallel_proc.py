@@ -1,9 +1,8 @@
 """Process shard backend: forked workers for the window-barrier core.
 
-The thread executor in :mod:`repro.sim.parallel` is bit-identical but
-GIL-bound — shards serialize on the interpreter lock, so ``--workers
-N`` buys nothing on stock CPython.  This module runs each shard in a
-**forked worker process** instead:
+The in-process driver in :mod:`repro.sim.parallel` runs the shards'
+windows one after another, so ``--workers N`` alone buys no wall
+clock.  This module runs each shard in a **forked worker process**:
 
 - **Fork inheritance, no warp pickling.**  The driver forks *after*
   the shards are built, so every worker inherits the cached
@@ -26,11 +25,8 @@ N`` buys nothing on stock CPython.  This module runs each shard in a
   the window's staged interactions (struct-packed, one ``(time,
   sm_id, k, kind)`` header per entry), the shard's next heap minimum,
   a pickled finalize payload (per-shard ``RunStats`` / ``Telemetry`` /
-  per-SM cache stats), or a pickled exception + traceback.  Transport
-  is ``multiprocessing.Pipe`` by default; ``REPRO_PROC_TRANSPORT=ring``
-  selects the shared-memory SPSC ring (measured in
-  ``benchmarks/bench_perf.py`` — pipes win on this workload's frame
-  sizes, so they stay the default).
+  per-SM cache stats), or a pickled exception + traceback.  Each
+  shard talks to the parent over one duplex ``multiprocessing.Pipe``.
 - **Exact replay at the barrier.**  The parent is the sole owner of
   the memory subsystem and grid bookkeeping: it k-way merges the
   workers' staged frames by ``(time, sm_id, k)`` and replays them
@@ -66,7 +62,6 @@ from repro.sim.gpu import SimulationDeadlock
 from repro.sim.launch import HostLaunch
 from repro.sim.parallel import (
     _BATCH,
-    _CTA,
     _REQ,
     _WB,
     WindowBarrierDriver,
@@ -156,185 +151,6 @@ def _decode_staged(frame: bytes, origin: int) -> list:
             offset += _P_CTA.size
         out.append(((t, sm_key, k), kind, payload, origin))
     return out
-
-
-# -- transports -------------------------------------------------------------
-class _PipeTransport:
-    """One duplex ``multiprocessing.Pipe`` per shard (the default)."""
-
-    kind = "pipe"
-
-    def __init__(self, num_shards: int):
-        self._pairs = [multiprocessing.Pipe(duplex=True)
-                       for _ in range(num_shards)]
-
-    def child_channel(self, index: int):
-        # Close every fd this worker does not own: the parent ends, and
-        # the other workers' child ends — otherwise a dead sibling's
-        # pipe never reaches EOF in the parent.
-        for j, (parent_end, child_end) in enumerate(self._pairs):
-            parent_end.close()
-            if j != index:
-                child_end.close()
-        return self._pairs[index][1]
-
-    def parent_channels(self, alive_fns) -> list:
-        for _parent_end, child_end in self._pairs:
-            child_end.close()
-        return [parent_end for parent_end, _child_end in self._pairs]
-
-    def destroy(self) -> None:
-        pass
-
-
-class _Ring:
-    """One direction of a shared-memory SPSC byte ring.
-
-    Layout at ``offset``: head (u8, bytes consumed), tail (u8, bytes
-    written), then ``capacity`` data bytes.  Indices grow
-    monotonically; positions are ``index % capacity``.  Frames are
-    ``u4 length + payload`` and stream through chunked (frames larger
-    than the ring still pass).
-    """
-
-    def __init__(self, buf, offset: int, capacity: int):
-        self._buf = buf
-        self._head = offset
-        self._tail = offset + 8
-        self._base = offset + 16
-        self._capacity = capacity
-
-    def _load(self, off: int) -> int:
-        return int.from_bytes(bytes(self._buf[off:off + 8]), "little")
-
-    def _store(self, off: int, value: int) -> None:
-        self._buf[off:off + 8] = value.to_bytes(8, "little")
-
-    def write(self, data: bytes, alive) -> None:
-        buf, base, capacity = self._buf, self._base, self._capacity
-        total = len(data)
-        sent = 0
-        spins = 0
-        while sent < total:
-            head = self._load(self._head)
-            tail = self._load(self._tail)
-            free = capacity - (tail - head)
-            if free <= 0:
-                spins = _ring_wait(spins, alive)
-                continue
-            spins = 0
-            n = min(free, total - sent)
-            pos = tail % capacity
-            first = min(n, capacity - pos)
-            buf[base + pos:base + pos + first] = data[sent:sent + first]
-            if n > first:
-                buf[base:base + n - first] = data[sent + first:sent + n]
-            self._store(self._tail, tail + n)
-            sent += n
-
-    def read_exact(self, n: int, alive) -> bytes:
-        buf, base, capacity = self._buf, self._base, self._capacity
-        out = bytearray()
-        spins = 0
-        while len(out) < n:
-            head = self._load(self._head)
-            tail = self._load(self._tail)
-            available = tail - head
-            if available <= 0:
-                spins = _ring_wait(spins, alive)
-                continue
-            spins = 0
-            take = min(available, n - len(out))
-            pos = head % capacity
-            first = min(take, capacity - pos)
-            out += buf[base + pos:base + pos + first]
-            if take > first:
-                out += buf[base:base + take - first]
-            self._store(self._head, head + take)
-        return bytes(out)
-
-
-def _ring_wait(spins: int, alive) -> int:
-    """Backoff between ring polls; EOF when the peer is gone."""
-    spins += 1
-    if spins > 100:
-        if alive is not None and not alive():
-            raise EOFError("ring peer process is gone")
-        time.sleep(0.0002)
-    return spins
-
-
-class RingChannel:
-    """Connection-compatible view over one end of a ring pair."""
-
-    def __init__(self, out_ring: _Ring, in_ring: _Ring, alive=None):
-        self._out = out_ring
-        self._in = in_ring
-        self._alive = alive
-
-    def send_bytes(self, data: bytes) -> None:
-        self._out.write(_U4.pack(len(data)) + data, self._alive)
-
-    def recv_bytes(self) -> bytes:
-        (n,) = _U4.unpack(self._in.read_exact(4, self._alive))
-        return self._in.read_exact(n, self._alive)
-
-    def close(self) -> None:  # shared memory is owned by the transport
-        pass
-
-
-class _RingTransport:
-    """Two SPSC rings per shard in one shared-memory block."""
-
-    kind = "ring"
-
-    def __init__(self, num_shards: int, capacity: int = 1 << 20):
-        from multiprocessing import shared_memory
-
-        self._capacity = capacity
-        stride = 2 * (capacity + 16)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=stride * num_shards
-        )
-        self._stride = stride
-        self._destroyed = False
-
-    def _rings(self, index: int):
-        base = index * self._stride
-        down = _Ring(self._shm.buf, base, self._capacity)  # parent -> child
-        up = _Ring(self._shm.buf, base + self._capacity + 16, self._capacity)
-        return down, up
-
-    def child_channel(self, index: int):
-        ppid = os.getppid()
-        down, up = self._rings(index)
-        return RingChannel(up, down, alive=lambda: os.getppid() == ppid)
-
-    def parent_channels(self, alive_fns) -> list:
-        channels = []
-        for index, alive in enumerate(alive_fns):
-            down, up = self._rings(index)
-            channels.append(RingChannel(down, up, alive=alive))
-        return channels
-
-    def destroy(self) -> None:
-        if self._destroyed:
-            return
-        self._destroyed = True
-        try:
-            self._shm.close()
-        except Exception:
-            pass
-        try:
-            self._shm.unlink()
-        except Exception:
-            pass
-
-
-def make_transport(kind: str, num_shards: int):
-    if kind == "ring":
-        return _RingTransport(num_shards)
-    return _PipeTransport(num_shards)
 
 
 # -- deterministic dispatch mirror ------------------------------------------
@@ -463,16 +279,13 @@ class ProcessShardDriver(WindowBarrierDriver):
     """
 
     def __init__(self, gpu, launches, plans):
-        super().__init__(gpu, executor="inline")
-        self.executor_mode = "processes"
+        super().__init__(gpu)
         self.launches = launches
         self.plans = plans
-        self.transport_kind = os.environ.get("REPRO_PROC_TRANSPORT", "pipe")
         self._heap_mins = [NEVER] * self.num_shards
         self._next_launch = 0
         self._pids: list = []
         self._channels: list = []
-        self._transport = None
         self._fork_workers()
         # Instance-level override: grid admission happens inside the
         # workers, the parent only keeps bookkeeping.
@@ -481,15 +294,22 @@ class ProcessShardDriver(WindowBarrierDriver):
 
     # -- worker lifecycle --------------------------------------------------
     def _fork_workers(self) -> None:
-        transport = make_transport(self.transport_kind, self.num_shards)
-        self._transport = transport
+        pairs = [multiprocessing.Pipe(duplex=True)
+                 for _ in range(self.num_shards)]
         for index in range(self.num_shards):
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    channel = transport.child_channel(index)
-                    self._worker_main(index, channel)
+                    # Close every fd this worker does not own: the
+                    # parent ends, and the other workers' child ends —
+                    # otherwise a dead sibling's pipe never reaches EOF
+                    # in the parent.
+                    for j, (parent_end, child_end) in enumerate(pairs):
+                        parent_end.close()
+                        if j != index:
+                            child_end.close()
+                    self._worker_main(index, pairs[index][1])
                     status = 0
                 except BaseException:  # noqa: BLE001 - child never unwinds
                     pass
@@ -497,25 +317,9 @@ class ProcessShardDriver(WindowBarrierDriver):
                     # Never run the parent's atexit/test machinery.
                     os._exit(status)
             self._pids.append(pid)
-        alive_fns = [
-            (lambda i=index: self._child_alive(i))
-            for index in range(self.num_shards)
-        ]
-        self._channels = transport.parent_channels(alive_fns)
-
-    def _child_alive(self, index: int) -> bool:
-        pid = self._pids[index]
-        if pid is None:
-            return False
-        try:
-            done, _status = os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            self._pids[index] = None
-            return False
-        if done == pid:
-            self._pids[index] = None
-            return False
-        return True
+        for _parent_end, child_end in pairs:
+            child_end.close()
+        self._channels = [parent_end for parent_end, _child_end in pairs]
 
     def close(self, terminate: bool = False) -> None:
         """Stop and reap all workers (idempotent; safe on error paths)."""
@@ -546,8 +350,6 @@ class ProcessShardDriver(WindowBarrierDriver):
                 channel.close()
             except Exception:
                 pass
-        if self._transport is not None:
-            self._transport.destroy()
 
     # -- parent-side channel helpers ---------------------------------------
     def _send(self, index: int, frame: bytes) -> None:
@@ -849,8 +651,6 @@ def _reap(pid: int, timeout: float) -> bool:
 
 __all__ = [
     "ProcessShardDriver",
-    "RingChannel",
-    "make_transport",
     "plan_dispatch",
     "try_install_process_driver",
 ]

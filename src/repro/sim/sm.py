@@ -32,7 +32,6 @@ bit-identical by ``tests/sim/test_event_core_golden.py``.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from operator import attrgetter

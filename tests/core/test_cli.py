@@ -120,6 +120,47 @@ class TestTraceReplay:
         assert "replayed" in out
         assert "IPC" in out
 
+    def test_replay_matches_run_for_whole_app(self, tmp_path, capsys):
+        """NW launches many kernels: the replayed characterization
+        (cycles, instructions, launches, stalls) must be exactly what
+        ``repro run`` prints, so the file holds the whole application,
+        not just its first kernel."""
+        trace = tmp_path / "nw.trace"
+        assert main(["trace", "NW", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["run", "NW", "--sms", "4"]) == 0
+        run_out = capsys.readouterr().out
+        assert main(["replay", str(trace), "--sms", "4"]) == 0
+        replay_out = capsys.readouterr().out
+        assert replay_out.splitlines()[0] == f"replayed NW from {trace}"
+        assert replay_out.splitlines()[1:] == run_out.splitlines()
+
+    @pytest.mark.parametrize("damage", ["bit-flip", "truncated", "foreign"])
+    def test_damaged_trace_exits_2_naming_file(
+        self, damage, tmp_path, capsys
+    ):
+        trace = tmp_path / "nw.trace"
+        assert main(["trace", "NW", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        data = bytearray(trace.read_bytes())
+        if damage == "bit-flip":
+            data[len(data) // 2] ^= 0xFF
+        elif damage == "truncated":
+            data = data[: len(data) // 2]
+        else:
+            data = bytearray(b'{"kernel": "nw_diag", "num_ctas": 8}\n')
+        trace.write_bytes(bytes(data))
+        assert main(["replay", str(trace), "--sms", "4"]) == 2
+        captured = capsys.readouterr()
+        assert str(trace) in captured.err
+        reason = {
+            "bit-flip": "CRC mismatch",
+            "truncated": "truncated",
+            "foreign": "not a trace-store file",
+        }[damage]
+        assert reason in captured.err
+        assert captured.out == ""
+
 
 class TestProfile:
     def test_profile_prints_interval_table(self, capsys):

@@ -1,9 +1,11 @@
 """Sweep engine: parallel and cached paths must match serial exactly."""
 
+import os
 import pickle
 
 import pytest
 
+from repro.core import sweep
 from repro.core.config_presets import baseline_config, with_cache_sizes
 from repro.core.runner import run_benchmark, run_suite, variant_name
 from repro.core.sweep import (
@@ -156,6 +158,48 @@ class TestValidation:
                 assert jobs * workers <= budget
         assert default_jobs(workers_per_job=0) == budget
         assert default_jobs(workers_per_job=1) == budget
+
+
+class TestPoolFailures:
+    def test_pool_start_failure_falls_back_in_process(
+        self, config, monkeypatch
+    ):
+        """No process pool (sandboxed fork): same results in-process."""
+        def no_pool(*args, **kwargs):
+            raise PermissionError("fork blocked")
+
+        pts = [sweep_point("a", "NW", config), sweep_point("b", "SW", config)]
+        expected = run_sweep(pts, jobs=0, store=None)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        assert run_sweep(pts, jobs=2, store=None) == expected
+
+    def test_point_oserror_propagates_without_rerun(
+        self, config, monkeypatch
+    ):
+        """An OSError raised by one point's simulation inside a worker
+        is that point's failure: the sweep must raise it, not mistake
+        it for a missing pool and re-simulate the grid in the parent.
+        The patched ``run_point`` reaches the workers through fork."""
+        parent = os.getpid()
+        parent_calls = []
+        real_run_point = sweep.run_point
+
+        def failing_run_point(point, cache=None):
+            if os.getpid() == parent:
+                parent_calls.append(point.label)
+            if point.abbr == "SW":
+                raise OSError("scratch disk full")
+            return real_run_point(point, cache)
+
+        monkeypatch.setattr(sweep, "run_point", failing_run_point)
+        pts = [
+            sweep_point("nw", "NW", config),
+            sweep_point("sw", "SW", config),
+            sweep_point("star", "STAR", config),
+        ]
+        with pytest.raises(OSError, match="scratch disk full"):
+            run_sweep(pts, jobs=2, store=None)
+        assert parent_calls == []
 
 
 class TestSuiteIntegration:

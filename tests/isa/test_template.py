@@ -5,7 +5,6 @@ import pytest
 from repro.isa import TraceBuilder
 from repro.isa.instructions import OpClass
 from repro.isa.template import (
-    FIXED,
     build_template,
     relocate_ldst,
     structure_matches,

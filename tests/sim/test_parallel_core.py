@@ -5,7 +5,7 @@ only crosses incidentally: a CDP device launch whose child lands on a
 remote shard (the per-grid sequential fallback), a grid retiring
 exactly on a window boundary, the deadlock detector when every shard
 heap drains mid-run, the mismarked-application error propagating
-through the thread pool, relaxed mode, and the window-bound
+out of a shard window, relaxed mode, and the window-bound
 validation.
 """
 
@@ -94,14 +94,14 @@ class TestCDPFallback:
         plain event core bit-for-bit."""
         seq = run_app(self._cdp_app())
         par = run_app(
-            self._cdp_app(), parallel_shards=4, parallel_executor="threads"
+            self._cdp_app(), parallel_shards=4, parallel_executor="inline"
         )
         assert par.device_launches > 0
         assert dataclasses.asdict(par) == dataclasses.asdict(seq)
 
     def test_mismarked_app_raises_through_pool(self):
         """An application that declares itself launch-free enters
-        windowed execution; a device launch from inside a shard worker
+        windowed execution; a device launch from inside a shard window
         must surface the loud RuntimeError, not diverge or hang."""
         child = ScriptKernel(lambda ctx: iter([TraceBuilder().exit()]), 32)
 
@@ -112,7 +112,7 @@ class TestCDPFallback:
 
         app = ScriptApp(ScriptKernel(parent, 32), launch_free=True)
         with pytest.raises(RuntimeError, match="may_device_launch"):
-            run_app(app, parallel_shards=2, parallel_executor="threads")
+            run_app(app, parallel_shards=2, parallel_executor="inline")
 
 
 class TestWindowBoundaries:

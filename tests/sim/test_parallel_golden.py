@@ -7,8 +7,8 @@ window bound it must produce field-for-field identical
 sharding is only allowed to change wall-clock, never the timing model.
 
 The full suite runs at the small dataset for shards in {2, 4} under
-*both* execution backends — the in-process thread pool and the forked
-process workers (``repro.sim.parallel_proc``); the heaviest benchmarks
+*both* execution backends — the in-process ``inline`` driver and the
+forked process workers (``repro.sim.parallel_proc``); the heaviest benchmarks
 get an extra medium-size lock, and a shards x windows matrix (marked
 ``slow``) locks the identity across explicit window sizes up to the
 safe bound.  Relaxed mode (windows beyond the bound) is deliberately
@@ -59,7 +59,7 @@ def _parallel(live, abbr: str, cdp: bool, size: DatasetSize, shards: int,
     ]
 
 
-@pytest.mark.parametrize("executor", ["threads", "processes"])
+@pytest.mark.parametrize("executor", ["inline", "processes"])
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize("cdp", [False, True], ids=["plain", "cdp"])
 @pytest.mark.parametrize("abbr", benchmark_names())
@@ -96,31 +96,19 @@ def test_shards_windows_matrix_identical(abbr, shards, window, live):
     assert par == seq
 
 
-def test_inline_matches_threads(live):
-    """The executor is pure mechanism: inline (no threads) and the
-    thread pool must walk the exact same schedule."""
-    threaded = _parallel(
-        live, "PairHMM", False, DatasetSize.SMALL, 4, executor="threads"
+def test_processes_match_inline(live):
+    """The forked backend and the in-process driver are two mechanisms
+    for the same schedule: their RunStats must agree field-for-field."""
+    procs = _parallel(
+        live, "PairHMM", False, DatasetSize.SMALL, 4, executor="processes"
     )
     inline = _parallel(
         live, "PairHMM", False, DatasetSize.SMALL, 4, executor="inline"
     )
-    assert inline == threaded
+    assert procs == inline
 
 
-def test_processes_match_threads(live):
-    """The forked backend and the thread pool are two mechanisms for
-    the same schedule: their RunStats must agree field-for-field."""
-    procs = _parallel(
-        live, "PairHMM", False, DatasetSize.SMALL, 4, executor="processes"
-    )
-    threaded = _parallel(
-        live, "PairHMM", False, DatasetSize.SMALL, 4, executor="threads"
-    )
-    assert procs == threaded
-
-
-@pytest.mark.parametrize("executor", ["threads", "processes"])
+@pytest.mark.parametrize("executor", ["inline", "processes"])
 def test_telemetry_differential_identical(executor, live):
     """Per-shard telemetry absorbed at finalize must reproduce the
     sequential sampler's rows and events — for both backends (the

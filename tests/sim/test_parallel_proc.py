@@ -1,4 +1,4 @@
-"""Process shard backend: failure modes, dispatch mirror, transports.
+"""Process shard backend: failure modes, dispatch mirror, eligibility.
 
 The golden matrix (``test_parallel_golden``) locks the process
 backend's bit-identity; this file exercises the machinery around it:
@@ -6,7 +6,7 @@ the replicated dispatch plan against the real ``_dispatch_pending``,
 eligibility fallbacks (CDP, observers, partial dispatch), a worker
 killed mid-run surfacing as :class:`SimulationDeadlock`, a worker
 exception re-raising in the parent with the child traceback attached,
-teardown on ``KeyboardInterrupt``, and both wire transports.
+and teardown on ``KeyboardInterrupt``.
 """
 
 import dataclasses
@@ -61,14 +61,6 @@ def _install(sim, app):
 
 class TestIdentity:
     def test_small_app_identical(self):
-        seq = run_app(_script_app())
-        par = run_app(
-            _script_app(), parallel_shards=2, parallel_executor="processes"
-        )
-        assert dataclasses.asdict(par) == dataclasses.asdict(seq)
-
-    def test_ring_transport_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROC_TRANSPORT", "ring")
         seq = run_app(_script_app())
         par = run_app(
             _script_app(), parallel_shards=2, parallel_executor="processes"
@@ -140,7 +132,7 @@ class TestDispatchMirror:
 
 
 class TestEligibility:
-    def test_cdp_app_falls_back_to_threads(self):
+    def test_cdp_app_falls_back_to_inline(self):
         """A CDP-capable application cannot enter windowed execution
         (children may land on remote shards); install must hand it to
         the in-process driver, never the process backend."""
@@ -201,7 +193,7 @@ class TestFailurePropagation:
 
     def test_keyboard_interrupt_reaps_workers(self):
         """Ctrl-C mid-window must terminate and reap every worker
-        before propagating — no orphan processes, no leaked shm."""
+        before propagating — no orphan processes."""
         sim = GPUSimulator(_proc_config())
         driver, wrapped = _install(sim, _script_app())
         pids = list(driver._pids)

@@ -16,6 +16,7 @@ from repro.data.datasets import DatasetSize
 from repro.kernels import build_application
 from repro.sim.config import GPUConfig
 from repro.sim.gpu import GPUSimulator
+from repro.sim.launch import HostLaunch
 from repro.sim.replay import CachedApplication, replay_application
 from repro.sim.trace_store import (
     TraceStore,
@@ -61,6 +62,30 @@ def test_round_trip_preserves_cdp_launch_graph():
     stats = _stats(stored)
     assert stats["device_launches"] > 0
     assert stats == _stats(entry)
+
+
+def _host_program_shape(app):
+    shape = []
+    for op in app.host_program():
+        if isinstance(op, HostLaunch):
+            kernel = op.launch.kernel
+            shape.append((
+                kernel.name, kernel.cta_threads, kernel.regs_per_thread,
+                kernel.smem_per_cta, kernel.const_bytes, op.launch.num_ctas,
+            ))
+        else:
+            shape.append((op.nbytes, op.direction))
+    return shape
+
+
+def test_round_trip_preserves_host_program_and_kernel_metadata():
+    """Every launch keeps its kernel name, geometry and resource
+    needs, and memcpys keep size and direction, in host order."""
+    entry = _cached("NW")
+    stored = decode_bytes(encode_bytes(entry))
+    shape = _host_program_shape(stored)
+    assert shape == _host_program_shape(entry)
+    assert sum(len(row) == 6 for row in shape) > 1
 
 
 def test_round_trip_preserves_counts():
